@@ -11,10 +11,13 @@ test:
 # verify is the pre-merge gate: static checks, the full test suite under
 # the race detector (the parallel engine, grid.Sweep, and mpirt all run
 # goroutine pools that must stay race-clean), and an explicit pass over
-# the fused-engine and kernel-layer guarantees — bitwise fused/legacy and
-# kernel/generic equivalence, lane-plan worker invariance, and the
-# zero-allocation trial and fold loops. The bounds-validation pass
-# checks every reported error bound differentially against the bigref
+# the fused-engine and kernel-layer guarantees — the sweep's golden
+# digest and single-executor replay, kernel/generic equivalence,
+# lane-plan worker invariance, the engine route against the two-pass
+# oracle at every lane width, the policy invariant (no pick costlier
+# than the cheapest reproducible rung), and the zero-allocation trial
+# and fold loops. The bounds-validation pass checks every reported
+# error bound differentially against the bigref
 # ground truth (deterministic bounds never violated, probabilistic at
 # most at the stated rate) plus the selection-path audits: degenerate
 # profiles, cache bucket boundaries, and empty-shard merge identity.
@@ -34,9 +37,9 @@ verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -run 'CrossTopology|ExtremeScale|NonPowerOfTwo|Backpressure|InboxMemory|SelectionTable|DoubleTreeStructure|RSAGBitwise' ./internal/mpirt
-	$(GO) test -run 'Equivalence|Replay|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
+	$(GO) test -run 'Equivalence|Replay|Golden|Fused|Allocs|PlanSource|WorkerCounts' ./internal/tree ./internal/grid ./internal/metrics
 	$(GO) test -run 'Equivalence|Allocs|Lane|NonFinite|BatchDeposit' ./internal/kernel ./internal/parallel ./internal/selector
-	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector ./internal/core
+	$(GO) test -run 'Fused|SpecSum|Cache|SelectAndSum|TwoPass|NeverCostlier|ProfileOp|Associativity|ArbitrarySplits|Clamp|Nearest|CSum' ./internal/selector ./internal/core
 	$(GO) test -run 'Binned|Merged|Invariance|Permutation|Specials|Ladder|Allocs' ./internal/binned ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsDifferential|Probabilistic|Degenerate|Boundary|MergeEmpty|ChainHeight|Gamma' ./internal/selector ./internal/sum ./internal/kernel
 	$(GO) test -run 'BoundsExt|CollectivesExt' ./internal/experiments
@@ -70,7 +73,7 @@ calibrate-quick:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# bench-json records the fused-vs-legacy sweep benchmarks, the batch
+# bench-json records the sweep engine benchmarks, the batch
 # kernel benchmarks, the speculative selector benchmarks (two-pass
 # select-then-sum vs fused single pass vs fused + decision cache, plus
 # the isolated Decide step with cache hit rates), and the binned

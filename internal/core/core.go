@@ -36,8 +36,9 @@ type Runtime struct {
 // Option configures a Runtime.
 type Option func(*Runtime)
 
-// WithPolicy substitutes the selection policy (e.g. a measurement-backed
-// selector.CalibratedPolicy instead of the analytic default).
+// WithPolicy substitutes the selection policy (e.g. the bound-driven
+// selector.ProbabilisticPolicy instead of the analytic default). To
+// serve from a host calibration artifact, use WithCalibration.
 func WithPolicy(p selector.Policy) Option {
 	return func(rt *Runtime) { rt.sel.Policy = p }
 }
@@ -183,20 +184,18 @@ func (r Report) String() string {
 //
 // The pass is fused and speculative (selector.SelectAndSum): profiling
 // already yields the ST and Neumaier answers, so those selections never
-// read xs a second time, and every result is bit-identical to the
-// two-pass profile-then-sum route.
+// read xs a second time.
 //
-// With the engine enabled (WithWorkers/WithChunkSize) and an input
-// spanning at least two chunks, both the profiling pass and the sum run
-// on the deterministic chunked worker pool; the result is bitwise-stable
-// across worker counts. Lane widths above 1 fall back to the two-pass
-// engine route (the fused chunk kernel is a single-lane plan).
+// With the engine enabled (WithWorkers/WithChunkSize/WithLaneWidth) and
+// an input spanning at least two chunks, both the profiling pass and
+// the sum run on the deterministic chunked worker pool
+// (selector.SelectAndSumParallel); the result is bitwise-stable across
+// worker counts. Lane widths above 1 skip the speculative answers and
+// always sum in a second lane-plan pass.
 func (rt *Runtime) Sum(xs []float64) (float64, Report) {
 	if rt.engineFor(len(xs)) {
-		if v, sel, ok := rt.sel.SelectAndSumParallel(xs, rt.par); ok {
-			return v, reportOf(sel)
-		}
-		return rt.sumParallel(xs)
+		v, sel := rt.sel.SelectAndSumParallel(xs, rt.par)
+		return v, reportOf(sel)
 	}
 	v, sel := rt.sel.SelectAndSum(xs)
 	return v, reportOf(sel)
@@ -230,37 +229,6 @@ func (rt *Runtime) engineFor(n int) bool {
 		cs = parallel.DefaultChunkSize
 	}
 	return n > cs
-}
-
-// sumParallel is the two-pass Sum on the chunked engine, kept for lane
-// widths the fused chunk kernel does not cover.
-func (rt *Runtime) sumParallel(xs []float64) (float64, Report) {
-	prof := selector.ProfileOfParallel(xs, rt.par)
-	if prof.NonFinite {
-		return rt.nonFiniteSum(xs, prof)
-	}
-	d := rt.sel.Decide(prof)
-	rep := Report{Algorithm: d.Alg, Profile: prof, Predicted: d.Predicted, Bounds: d.Bounds}
-	if d.Alg == sum.PreroundedAlg {
-		cfg := d.PR
-		rep.PRConfig = &cfg
-		return parallel.SumPR(cfg, xs, rt.par), rep
-	}
-	return parallel.Sum(d.Alg, xs, rt.par), rep
-}
-
-// nonFiniteSum is the fallback for NaN/±Inf-poisoned inputs: the
-// standard iterative sum, whose non-finite propagation follows IEEE
-// semantics exactly. The condition is recorded in the report.
-func (rt *Runtime) nonFiniteSum(xs []float64, prof selector.Profile) (float64, Report) {
-	rep := Report{
-		Algorithm: sum.StandardAlg,
-		Profile:   prof,
-		Predicted: math.Inf(1),
-		Bounds:    selector.ComputeBounds(prof, 0),
-		NonFinite: true,
-	}
-	return sum.Standard(xs), rep
 }
 
 // Reduce profiles xs and reduces it under the given tree plan with the

@@ -57,7 +57,7 @@ func coreCases() map[string][]float64 {
 // TestRuntimeSumFusedEquivalence pins the rewired Runtime.Sum bitwise
 // against the legacy two-pass semantics, serial and on the engine at
 // several worker counts and lane widths (wide lanes exercising the
-// two-pass fallback).
+// lane-plan second pass).
 func TestRuntimeSumFusedEquivalence(t *testing.T) {
 	for name, xs := range coreCases() {
 		for _, tol := range []float64{1e-6, 1e-12, 0} {

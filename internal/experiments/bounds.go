@@ -77,11 +77,14 @@ func BoundsExt(cfg Config) BoundsExtResult {
 	}
 	// The calibration table is the CalibratedPolicy's own offline
 	// sweep: same envelope, independent seed (a real deployment would
-	// not calibrate on its serving data).
+	// not calibrate on its serving data), over the paper's four
+	// algorithms — the measured baseline this experiment compares the
+	// bound-driven policy against.
 	calib := selector.Calibrate(selector.CalibrationConfig{
 		Ns: []int{n}, Ks: ks, DRs: drs,
-		Trials: cfg.pick(20, 50),
-		Seed:   cfg.Seed ^ 0xCA11B,
+		Algorithms: sum.PaperAlgorithms,
+		Trials:     cfg.pick(20, 50),
+		Seed:       cfg.Seed ^ 0xCA11B,
 	})
 	policies := map[string]selector.Policy{
 		// Balanced plan: the grid's trees are the execution model.

@@ -10,10 +10,10 @@ import (
 // runtime selector needs to pick an algorithm AND the two cheapest
 // candidate answers.
 //
-// The legacy serving path reads the data twice — selector.ProfileOf(xs)
-// to build the selection profile, then alg.Sum(xs) once the policy has
-// chosen — so runtime selection costs 2x memory bandwidth even when the
-// policy settles on the cheapest algorithm. FusedProfileSum folds the
+// A profile-then-sum serving path reads the data twice — once to build
+// the selection profile, then alg.Sum(xs) once the policy has chosen —
+// so runtime selection costs 2x memory bandwidth even when the policy
+// settles on the cheapest algorithm. FusedProfileSum folds the
 // profile statistics and two speculative sums in the same loop:
 //
 //   - ST: the plain left-to-right float64 sum, bit-identical to ST(xs)

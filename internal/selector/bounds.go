@@ -76,7 +76,7 @@ type BoundPlan uint8
 
 const (
 	// SerialPlan models the serial left-to-right fold the fused
-	// serving path (Selector.Sum, SelectAndSum) executes: chain height
+	// serving path (SelectAndSum) executes: chain height
 	// n-1. The zero value, so the default.
 	SerialPlan BoundPlan = iota
 	// BalancedPlan models execution on a balanced reduction tree

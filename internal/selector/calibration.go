@@ -329,16 +329,10 @@ type HarnessConfig struct {
 
 // RunCalibration measures the host — the accuracy sweep across the
 // configured envelope plus the engine cost sweep — and packages the
-// results as a Calibration artifact. The accuracy sweep defaults to the
-// full selection ladder (a calibration must know the reproducible rungs
-// too); the cost sweep reuses the accuracy seed so CheckCalibration can
-// regenerate its timing data.
+// results as a Calibration artifact. The cost sweep reuses the accuracy
+// seed so CheckCalibration can regenerate its timing data.
 func RunCalibration(cfg HarnessConfig) *Calibration {
-	acc := cfg.Accuracy
-	if len(acc.Algorithms) == 0 {
-		acc.Algorithms = sum.SelectionLadder
-	}
-	acc = acc.withDefaults()
+	acc := cfg.Accuracy.withDefaults()
 	var specs []grid.CellSpec
 	for _, n := range acc.Ns {
 		specs = append(specs, grid.KDRGrid(n, acc.Ks, acc.DRs)...)

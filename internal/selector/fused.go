@@ -8,17 +8,17 @@ import (
 
 // Fused speculative serving path.
 //
-// The legacy Selector.Sum reads the data twice: ProfileOf(xs) to build
-// the selection profile, then alg.Sum(xs) once the policy has chosen —
-// 2x memory traffic even when the choice is the cheapest algorithm.
+// A profile-then-sum route reads the data twice: once to build the
+// selection profile, then once more with the operator the policy chose
+// — 2x memory traffic even when the choice is the cheapest algorithm.
 // The fused path folds the profile AND the two cheapest candidate
 // answers (ST's plain sum and Neumaier's compensated pair — the
 // profile's Σx accumulator is that pair) in one pass over xs
 // (kernel.FusedProfileSum), then consults the policy. When the policy
 // picks ST or Neumaier the answer is already in hand and the data is
-// never read again; only escalations to PW/K/CP/PR pay a second pass.
-// Every fast-path result is bitwise-identical to what the legacy
-// two-pass route computes, pinned by equivalence tests.
+// never read again; only escalations to PW/BN/K/CP/PR pay a second
+// pass. Every fast-path result is bitwise-identical to what that
+// operator's own fold computes, pinned by equivalence tests.
 
 // FusedPass is the outcome of one fused profile+sum pass: the complete
 // selection profile plus the speculative plain-sum shadow. The Neumaier
@@ -53,19 +53,19 @@ func passOf(a kernel.FusedAcc) FusedPass {
 }
 
 // FusedProfileSum profiles xs and computes both speculative sums in a
-// single serial pass. The profile is bit-identical to ProfileOf(xs) and
-// the ST shadow to sum.Standard(xs).
+// single serial pass. The profile is bit-identical to folding
+// Profile.Add over xs, and the ST shadow to sum.Standard(xs).
 func FusedProfileSum(xs []float64) FusedPass {
 	return passOf(kernel.FusedProfileSum(xs))
 }
 
 // FusedProfileSumParallel is the engine variant: per-chunk fused folds
 // combined with kernel.FusedAcc.Merge over the engine's fixed balanced
-// tree. The profile matches ProfileOfParallel(xs, cfg) and the
-// speculative sums match parallel.Sum(StandardAlg/NeumaierAlg, xs, cfg)
-// bit-for-bit at any worker count — provided cfg.LaneWidth <= 1 (lane
-// plans change the chunk-fold bits; callers must fall back to the
-// two-pass route for wider lanes, as core.Runtime does).
+// tree. The profile matches ProfileOfParallel(xs, cfg) bit-for-bit at
+// any worker count and lane width. The speculative sums match
+// parallel.Sum(StandardAlg/NeumaierAlg, xs, cfg) only when
+// cfg.LaneWidth <= 1: lane plans change the chunk-fold bits, so
+// SelectAndSumParallel never serves them from this pass.
 func FusedProfileSumParallel(xs []float64, cfg parallel.Config) FusedPass {
 	a, ok := parallel.MapReduce(len(xs), cfg,
 		func(lo, hi int) kernel.FusedAcc { return kernel.FusedProfileSum(xs[lo:hi]) },
@@ -139,7 +139,7 @@ func decide(pol Policy, p Profile, req Requirement) Decision {
 // policy and requirement, going through the decision cache when one is
 // attached. Poisoned (NonFinite) profiles always bypass the cache: they
 // quantize onto the same bucket as merely ill-conditioned data but must
-// keep the legacy poisoned-path behavior exactly.
+// keep the uncached poisoned-path behavior exactly.
 func (s *Selector) Decide(p Profile) Decision {
 	if s.Cache != nil && !p.NonFinite {
 		return s.Cache.decide(s.Policy, p, s.Req)
@@ -198,33 +198,31 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 
 // SelectAndSumParallel is SelectAndSum on the parallel engine: fused
 // per-chunk folds, the same decision step, and parallel escalation.
-// ok=false means the engine cannot serve this configuration fused
-// (cfg.LaneWidth > 1 — lane plans change which bits the chunk folds
-// produce) and the caller should take the legacy two-pass route.
-// Poisoned inputs fall back to one serial ST pass — the same bits the
-// legacy parallel route's non-finite fallback produces.
-func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection, bool) {
-	if cfg.LaneWidth > 1 {
-		return 0, Selection{}, false
-	}
+// At cfg.LaneWidth > 1 the speculative answers are skipped (lane plans
+// change which bits the chunk folds produce) and every pick runs the
+// lane-plan second pass. Poisoned inputs fall back to one serial ST
+// pass.
+func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection) {
 	fp := FusedProfileSumParallel(xs, cfg)
 	prof := fp.Profile
 	if prof.NonFinite {
 		return sum.Standard(xs), Selection{
 			Profile: prof, Alg: sum.StandardAlg, NonFinite: true,
 			Bounds: boundsFor(s.Policy, prof),
-		}, true
+		}
 	}
 	d := s.Decide(prof)
 	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
-	if v, ok := fp.SpecSum(d.Alg); ok {
-		sel.Fast = true
-		return v, sel, true
+	if cfg.LaneWidth <= 1 {
+		if v, ok := fp.SpecSum(d.Alg); ok {
+			sel.Fast = true
+			return v, sel
+		}
 	}
 	if d.Alg == sum.PreroundedAlg {
 		prCfg := d.PR
 		sel.PR = &prCfg
-		return parallel.SumPR(prCfg, xs, cfg), sel, true
+		return parallel.SumPR(prCfg, xs, cfg), sel
 	}
-	return parallel.Sum(d.Alg, xs, cfg), sel, true
+	return parallel.Sum(d.Alg, xs, cfg), sel
 }

@@ -23,8 +23,8 @@ func benchSelector(alg sum.Algorithm) *Selector {
 	return s
 }
 
-// BenchmarkSelectSum compares the legacy two-pass select-then-sum
-// route against the fused single-pass engine, with and without the
+// BenchmarkSelectSum compares a two-pass select-then-sum route
+// against the fused single-pass engine, with and without the
 // decision cache, on the ST and Neumaier fast paths (the regimes where
 // fusion removes the entire second data pass).
 func BenchmarkSelectSum(b *testing.B) {
@@ -32,7 +32,7 @@ func BenchmarkSelectSum(b *testing.B) {
 		xs := gen.Spec{N: n, Cond: 1, DynRange: 8, Seed: 90}.Generate()
 		for _, alg := range []sum.Algorithm{sum.StandardAlg, sum.NeumaierAlg} {
 			s := benchSelector(alg)
-			if a, _ := s.Choose(xs); a != alg {
+			if a := s.Decide(ProfileOf(xs)).Alg; a != alg {
 				b.Fatalf("fixture selects %v, want %v", a, alg)
 			}
 			var sink float64

@@ -27,7 +27,7 @@ type Policy interface {
 }
 
 // ModelParams are the safety multipliers of the analytic variability
-// model, calibratable against measurement (FitModel).
+// model.
 type ModelParams struct {
 	CST, CK, CCP float64
 }
@@ -123,8 +123,9 @@ type CalibrationConfig struct {
 	Ns  []int
 	Ks  []float64
 	DRs []int
-	// Algorithms to measure per cell (default sum.PaperAlgorithms; the
-	// calibration harness passes the full selection ladder).
+	// Algorithms to measure per cell (default sum.SelectionLadder, so
+	// the table always holds the cheapest reproducible rung; pass
+	// sum.PaperAlgorithms to reproduce the paper's four-algorithm table).
 	Algorithms []sum.Algorithm
 	// Trials per cell (default 50).
 	Trials int
@@ -153,7 +154,7 @@ func (c CalibrationConfig) withDefaults() CalibrationConfig {
 		c.Safety = 4
 	}
 	if len(c.Algorithms) == 0 {
-		c.Algorithms = sum.PaperAlgorithms
+		c.Algorithms = sum.SelectionLadder
 	}
 	return c
 }
@@ -263,8 +264,8 @@ func (cp *CalibratedPolicy) Cells() []grid.CellResult { return cp.cells }
 // predicted variability of 0. It pins an operator while keeping the
 // selector's profiling, fused speculation, and caching machinery in
 // the loop — the benchmarks use it to isolate the Neumaier fast path,
-// which the analytic policy never reaches (Kahan precedes it in
-// sum.PaperAlgorithms at the same predicted variability).
+// which the analytic policy never reaches (Neumaier is not a rung of
+// sum.SelectionLadder).
 type Static struct {
 	Alg sum.Algorithm
 }

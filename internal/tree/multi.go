@@ -6,8 +6,7 @@ package tree
 // the operand vector once per sampled tree and walks that single tree
 // with every configured algorithm, so the O(n) permutation (and the
 // plan generation feeding it) is amortized over all lanes instead of
-// being repeated per algorithm as the legacy per-algorithm Spread
-// loops do.
+// being repeated per algorithm as the per-algorithm Spread loops do.
 
 import (
 	"fmt"
@@ -19,8 +18,8 @@ import (
 // with its reusable per-algorithm state. Construct lanes with NewLane;
 // the interface is closed (its method is unexported) so every lane is
 // backed by the same Executor code path that single-algorithm runs use,
-// which is what makes the fused and legacy paths bitwise-identical on
-// a shared plan.
+// which is what makes lockstep and single-algorithm runs
+// bitwise-identical on a shared plan.
 type Lane interface {
 	// laneRun walks plan p's tree over already-permuted leaf values.
 	laneRun(p Plan, vals []float64) float64

@@ -92,8 +92,9 @@ type Bound = selector.Bound
 type Option = core.Option
 
 // WithPolicy substitutes the Runtime's selection policy: the analytic
-// default can be replaced by a measurement-backed
-// selector.CalibratedPolicy or the bound-driven ProbabilisticPolicy.
+// default can be replaced by the bound-driven ProbabilisticPolicy. To
+// serve from measurements, install a host calibration artifact with
+// WithCalibration instead.
 func WithPolicy(p Policy) Option { return core.WithPolicy(p) }
 
 // NewProbabilisticPolicy returns the Hallman–Ipsen bound-driven
