@@ -15,9 +15,11 @@ func xgetbv0() (eax, edx uint32)
 //go:noescape
 func depositGroupsAVX2(xs []float64, consts *[3]float64, efLo, efSpan int64, q *[16]float64) int64
 
-// hasAVX2 reports whether the CPU and OS support AVX2: AVX CPU flag,
+// HasAVX2 reports whether the CPU and OS support AVX2: AVX CPU flag,
 // OS-enabled XMM+YMM state (OSXSAVE + XCR0), and the AVX2 extension.
-func hasAVX2() bool {
+// It is the one CPU probe in the module; package kernel's fused
+// profile engine dispatches on it too.
+func HasAVX2() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
 		return false
@@ -37,7 +39,7 @@ func hasAVX2() bool {
 }
 
 // useAVX2 routes depositGroupsFast to the assembly kernel.
-var useAVX2 = hasAVX2()
+var useAVX2 = HasAVX2()
 
 // depositGroupsFast runs the widest group kernel this CPU supports.
 // Small enough to inline, and both callees leave the quad pointer on

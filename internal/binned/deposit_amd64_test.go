@@ -50,5 +50,5 @@ func TestCPUFeatureDetect(t *testing.T) {
 	if maxID == 0 {
 		t.Fatal("CPUID leaf 0 returned max leaf 0")
 	}
-	_ = hasAVX2() // must not fault regardless of features
+	_ = HasAVX2() // must not fault regardless of features
 }

@@ -131,3 +131,20 @@ func BenchmarkReduceFoldST1M(b *testing.B) {
 		sinkF = reduce.Fold[float64](sum.STMonoid{}, xs)
 	}
 }
+
+// BenchmarkFoldFusedProfile1M measures the fused profile pass that every
+// Runtime.Sum runs before it decides: the portable loop alone and the
+// dispatched kernel (the AVX2 engine where the CPU has it).
+func BenchmarkFoldFusedProfile1M(b *testing.B) {
+	xs := benchData()
+	b.Run("portable", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkF = kernel.FusedProfileSumGo(xs).SumS
+		}
+	})
+	b.Run("kernel", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkF = kernel.FusedProfileSum(xs).SumS
+		}
+	})
+}

@@ -68,19 +68,29 @@ type FusedAcc struct {
 }
 
 // FusedProfileSum folds xs once, producing the complete profile state
-// and both speculative sums. The loop keeps four independent float64
-// dependency chains (st, the TwoSum pair, the plain |x| sum) that
-// schedule in parallel on any modern core, and counts signs branch-free
-// from the sign bit, so the pass runs at nearly the speed of the plain
-// compensated fold alone.
+// and both speculative sums. Whole groups of four run on the widest
+// engine this CPU supports (fusedGroups: AVX2 on amd64); the remaining
+// tail, and any input that engine declines, continue in the portable
+// loop (fold). Every engine produces the same FusedAcc bit for bit.
+//
+// The pass costs more than a plain compensated fold: its floor is the
+// Neumaier step's chain of dependent adds per element plus the |x| sum,
+// and the portable loop adds per-element branches and exponent decode
+// on top (see DESIGN.md, "The profile pass").
 func FusedProfileSum(xs []float64) FusedAcc {
-	var (
-		st, s, c, abs float64
-		maxE, minE    int
-		hasNZ         bool
-		pos, neg      int64
-		nonFinite     bool
-	)
+	a, n := fusedGroups(xs)
+	return a.fold(xs[n:])
+}
+
+// fold continues a's serial pass over xs: the portable engine, the
+// oracle the assembly engine is pinned against, and its rerun path for
+// non-finite input. From the zero FusedAcc it is the whole pass. The
+// loop keeps four float64 dependency chains (st, the TwoSum pair, the
+// plain |x| sum) and counts signs branch-free from the sign bit.
+func (a FusedAcc) fold(xs []float64) FusedAcc {
+	st, s, c, abs := a.ST, a.SumS, a.SumC, a.AbsS
+	maxE, minE, hasNZ := a.MaxExp, a.MinExp, a.HasNonzero
+	pos, neg, nonFinite := a.Pos, a.Neg, a.NonFinite
 	for _, x := range xs {
 		st += x
 		if x == 0 {
@@ -119,12 +129,11 @@ func FusedProfileSum(xs []float64) FusedAcc {
 		neg += sb
 		pos += 1 - sb
 	}
-	return FusedAcc{
-		N: int64(len(xs)), ST: st,
-		SumS: s, SumC: c, AbsS: abs,
-		MaxExp: maxE, MinExp: minE, HasNonzero: hasNZ,
-		Pos: pos, Neg: neg, NonFinite: nonFinite,
-	}
+	a.N += int64(len(xs))
+	a.ST, a.SumS, a.SumC, a.AbsS = st, s, c, abs
+	a.MaxExp, a.MinExp, a.HasNonzero = maxE, minE, hasNZ
+	a.Pos, a.Neg, a.NonFinite = pos, neg, nonFinite
+	return a
 }
 
 // Merge combines two fused accumulators describing adjacent ranges:

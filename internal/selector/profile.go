@@ -197,11 +197,10 @@ func (p Profile) Add(x float64) Profile {
 	return p
 }
 
-// observe is the in-place sampling step shared by Add and the ProfileOf
-// batch loop; keeping it pointer-receiver lets the hot profiling pass
-// skip the two ~90-byte Profile copies per element that the value-
-// semantics Add pays. The fused kernel (kernel.FusedProfileSum)
-// replicates this step exactly — the equivalence is pinned by tests.
+// observe is Add's in-place sampling step: the streaming profile and
+// the scalar reference that the fused kernel (kernel.FusedProfileSum,
+// which serves ProfileOf) replicates exactly; FuzzFusedProfileSum and
+// the fused equivalence tests pin the two together.
 func (p *Profile) observe(x float64) {
 	p.N++
 	if x == 0 {
@@ -232,15 +231,11 @@ func (p *Profile) observe(x float64) {
 	}
 }
 
-// ProfileOf profiles a slice in one streaming pass. The loop mutates one
-// local profile in place (see observe), so it is bit-identical to — and
-// markedly faster than — folding Profile.Add over the slice.
+// ProfileOf profiles a slice in one streaming pass: the fused kernel's
+// profile (kernel.FusedProfileSum), bit-identical to folding
+// Profile.Add over the slice.
 func ProfileOf(xs []float64) Profile {
-	var p Profile
-	for _, x := range xs {
-		p.observe(x)
-	}
-	return p
+	return FusedProfileSum(xs).Profile
 }
 
 // ProfileOfParallel profiles xs on the parallel engine: fixed chunks are

@@ -7,8 +7,8 @@ import (
 	"repro/internal/gen"
 )
 
-// TestProfileOfMatchesAddFold pins the in-place batch profiling loop
-// against folding the value-semantics Profile.Add — every field,
+// TestProfileOfMatchesAddFold pins ProfileOf (the fused kernel's
+// profile) against folding Profile.Add — every field,
 // including the composite-precision sums, must be identical.
 func TestProfileOfMatchesAddFold(t *testing.T) {
 	sets := map[string][]float64{
