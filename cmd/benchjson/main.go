@@ -5,9 +5,12 @@
 //
 //	go test ./internal/grid -run '^$' -bench Sweep -benchmem | benchjson
 //
-// Context lines (goos, goarch, cpu, pkg) are captured as metadata;
-// every benchmark result line becomes one entry with its run count,
-// ns/op, and — when -benchmem was given — B/op and allocs/op.
+// Context lines (goos, goarch, cpu, pkg) are captured as metadata,
+// together with the host's CPU count (nproc, as benchjson sees it
+// beside the benchmark run) and the benchmarks' GOMAXPROCS (the -N
+// suffix of their names, 1 without one); every benchmark result line
+// becomes one entry with its run count, ns/op, and — when -benchmem
+// was given — B/op and allocs/op.
 //
 // With -compare, benchjson instead diffs two previously recorded
 // documents and prints per-benchmark ns/op and B/op deltas, so the perf
@@ -16,9 +19,14 @@
 // added/removed rather than silently skipped, and -threshold turns the
 // comparison into a regression gate: exit status 1 when any shared
 // benchmark's ns/op regressed by more than the given percentage.
+// Numbers from different hosts do not compare: when the two documents'
+// host metadata (goos, goarch, cpu, nproc, gomaxprocs) differ, -compare
+// prints the differences after the table and exits 2, unless -force
+// accepts the comparison.
 //
 //	benchjson -compare old.json new.json
 //	benchjson -compare -threshold 10 old.json new.json  # CI gate
+//	benchjson -compare -force old.json new.json         # across hosts
 //
 // -compare also accepts calibration artifacts written by cmd/calibrate
 // (sniffed by their "reprocal" header, both files must be the same
@@ -48,6 +56,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,16 +79,23 @@ type Result struct {
 
 // Report is the full document.
 type Report struct {
-	Goos    string   `json:"goos,omitempty"`
-	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
-	CPU     string   `json:"cpu,omitempty"`
-	Results []Result `json:"results"`
+	Goos   string `json:"goos,omitempty"`
+	Goarch string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// Nproc is the host's CPU count and GOMAXPROCS the benchmarks'
+	// (see the package comment). Documents recorded before these
+	// fields existed read 0, which compares as a different host.
+	Nproc      int      `json:"nproc,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Results    []Result `json:"results"`
 }
 
 func main() {
 	compare := flag.Bool("compare", false,
 		"compare two recorded JSON documents: benchjson -compare old.json new.json")
+	force := flag.Bool("force", false,
+		"with -compare: compare benchmark documents even when their host metadata differs")
 	threshold := flag.Float64("threshold", 0,
 		"with -compare: exit nonzero when any shared benchmark's ns/op regressed by more than this percentage (0 disables gating)")
 	ratio := flag.String("ratio", "",
@@ -92,32 +108,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson: -compare needs exactly two files: old.json new.json")
 			os.Exit(2)
 		}
-		oldCal, newCal := isCalibrationArtifact(flag.Arg(0)), isCalibrationArtifact(flag.Arg(1))
-		if oldCal != newCal {
-			fmt.Fprintln(os.Stderr, "benchjson: cannot compare a calibration artifact against a benchmark document")
-			os.Exit(2)
-		}
-		var regressed []string
-		var err error
-		if oldCal {
-			regressed, err = compareCalibrationFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		} else {
-			regressed, err = compareFiles(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		if len(regressed) > 0 {
-			what := "benchmark(s) regressed"
-			if oldCal {
-				what = "calibration cell(s) drifted"
-			}
-			fmt.Fprintf(os.Stderr, "benchjson: %d %s beyond %.1f%%: %s\n",
-				len(regressed), what, *threshold, strings.Join(regressed, ", "))
-			os.Exit(1)
-		}
-		return
+		os.Exit(runCompare(os.Stdout, os.Stderr, flag.Arg(0), flag.Arg(1), *threshold, *force))
+	}
+	if *force {
+		fmt.Fprintln(os.Stderr, "benchjson: -force requires -compare")
+		os.Exit(2)
 	}
 	if *threshold != 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: -threshold requires -compare")
@@ -143,12 +138,73 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
 	}
+	rep.Nproc = runtime.NumCPU()
+	for _, r := range rep.Results {
+		rep.GOMAXPROCS = max(rep.GOMAXPROCS, r.Procs)
+	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// runCompare is -compare: it prints the diff of two recorded documents
+// (benchmark or calibration) and returns the exit status — 2 for unusable
+// arguments or, without force, differing host metadata; 1 for read
+// errors or regressions beyond threshold; 0 otherwise.
+func runCompare(stdout, stderr io.Writer, oldPath, newPath string, threshold float64, force bool) int {
+	oldCal, newCal := isCalibrationArtifact(oldPath), isCalibrationArtifact(newPath)
+	if oldCal != newCal {
+		fmt.Fprintln(stderr, "benchjson: cannot compare a calibration artifact against a benchmark document")
+		return 2
+	}
+	var regressed, hosts []string
+	var err error
+	if oldCal {
+		regressed, err = compareCalibrationFiles(stdout, oldPath, newPath, threshold)
+	} else {
+		regressed, hosts, err = compareFiles(stdout, oldPath, newPath, threshold)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
+	}
+	for _, d := range hosts {
+		fmt.Fprintf(stdout, "HOST DIFFERS %s\n", d)
+	}
+	if len(hosts) > 0 && !force {
+		fmt.Fprintln(stderr, "benchjson: host metadata differs; rerun with -force to accept the comparison")
+		return 2
+	}
+	if len(regressed) > 0 {
+		what := "benchmark(s) regressed"
+		if oldCal {
+			what = "calibration cell(s) drifted"
+		}
+		fmt.Fprintf(stderr, "benchjson: %d %s beyond %.1f%%: %s\n",
+			len(regressed), what, threshold, strings.Join(regressed, ", "))
+		return 1
+	}
+	return 0
+}
+
+// hostDiffs lists the host metadata fields on which two documents
+// differ, as "field old -> new".
+func hostDiffs(a, b Report) []string {
+	var out []string
+	add := func(field string, x, y any) {
+		if x != y {
+			out = append(out, fmt.Sprintf("%s %v -> %v", field, x, y))
+		}
+	}
+	add("goos", a.Goos, b.Goos)
+	add("goarch", a.Goarch, b.Goarch)
+	add("cpu", a.CPU, b.CPU)
+	add("nproc", a.Nproc, b.Nproc)
+	add("gomaxprocs", a.GOMAXPROCS, b.GOMAXPROCS)
+	return out
 }
 
 // gateRatio resolves the 'num,den' benchmark pair in a recorded JSON
@@ -234,7 +290,7 @@ func loadCalibration(path string) (*selector.Calibration, error) {
 // names every matched quantity that drifted beyond threshold percent in
 // either direction (accuracy surfaces and engine costs both gate —
 // selection depends on both).
-func compareCalibrationFiles(w *os.File, oldPath, newPath string, threshold float64) ([]string, error) {
+func compareCalibrationFiles(w io.Writer, oldPath, newPath string, threshold float64) ([]string, error) {
 	oldCal, err := loadCalibration(oldPath)
 	if err != nil {
 		return nil, err
@@ -285,15 +341,16 @@ func loadReport(path string) (Report, error) {
 // shared benchmark — present in only one document are listed as
 // added/removed so silent coverage drift is visible. When threshold is
 // positive, the returned slice names every shared benchmark whose
-// ns/op regressed by more than threshold percent.
-func compareFiles(w *os.File, oldPath, newPath string, threshold float64) ([]string, error) {
+// ns/op regressed by more than threshold percent; the second lists the
+// host metadata differences (hostDiffs).
+func compareFiles(w io.Writer, oldPath, newPath string, threshold float64) ([]string, []string, error) {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	newRep, err := loadReport(newPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	oldBy := make(map[string]Result, len(oldRep.Results))
 	for _, r := range oldRep.Results {
@@ -340,7 +397,7 @@ func compareFiles(w *os.File, oldPath, newPath string, threshold float64) ([]str
 	for _, name := range removed {
 		fmt.Fprintf(w, "%-52s (removed: only in %s)\n", name, oldPath)
 	}
-	return regressed, nil
+	return regressed, hostDiffs(oldRep, newRep), nil
 }
 
 // extraDiff renders the custom-metric (Result.Extra) comparison of one

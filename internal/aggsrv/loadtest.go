@@ -25,7 +25,9 @@ type LoadConfig struct {
 	// Default "load".
 	Key string
 	// FlushEvery is the number of batches between timed flush
-	// barriers (the latency samples). Default 16.
+	// barriers (the latency samples). Default 16. Each client's final
+	// barrier flush is timed too, so every client yields at least one
+	// sample.
 	FlushEvery int
 }
 
@@ -56,6 +58,10 @@ type LoadResult struct {
 	Elapsed        time.Duration // wall time, first byte to last ack
 	DepositsPerSec float64
 	P50, P99       time.Duration // flush-barrier round-trip latency
+	// Samples is the number of timed flushes P50 and P99 come from:
+	// one per FlushEvery batches per client, plus each client's final
+	// barrier.
+	Samples int
 	// PerClient[ci] is how many scalars client ci deposited; with
 	// LoadValue this reconstructs the exact expected sum offline.
 	PerClient []int64
@@ -111,6 +117,7 @@ func RunLoad(cfg LoadConfig) (LoadResult, error) {
 		Elapsed:        elapsed,
 		DepositsPerSec: float64(deposits) / elapsed.Seconds(),
 		PerClient:      per,
+		Samples:        len(samples),
 	}
 	if len(samples) > 0 {
 		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
@@ -168,8 +175,9 @@ func loadClient(cfg LoadConfig, ci int, perClient int64, deadline time.Time) (se
 			lat = append(lat, time.Since(t0))
 		}
 	}
+	t0 := time.Now()
 	if err := cl.Flush(); err != nil {
 		return sent, batches, lat, err
 	}
-	return sent, batches, lat, nil
+	return sent, batches, append(lat, time.Since(t0)), nil
 }

@@ -487,3 +487,26 @@ func TestServeCheck(t *testing.T) {
 		t.Fatalf("load sum bits %x, want offline-recomputed %x", got, want)
 	}
 }
+
+// TestRunLoadSamplesFinalFlush: clients that send fewer than FlushEvery
+// batches still yield one latency sample each, from the timed final
+// barrier, so the quantiles are never read off an empty sample set.
+func TestRunLoadSamplesFinalFlush(t *testing.T) {
+	addr, _ := startServer(t, Config{})
+	res, err := RunLoad(LoadConfig{
+		Addr:          addr,
+		Clients:       3,
+		Batch:         64,
+		TotalDeposits: 3 * 64 * 5, // 5 batches per client, FlushEvery 16
+		Key:           "few-batches",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batches != 15 || res.Samples != 3 {
+		t.Fatalf("batches %d, samples %d; want 15 and 3 (one final flush per client)", res.Batches, res.Samples)
+	}
+	if res.P50 <= 0 || res.P99 < res.P50 {
+		t.Fatalf("quantiles p50 %v p99 %v from %d samples", res.P50, res.P99, res.Samples)
+	}
+}

@@ -3,7 +3,10 @@
 // Runtime owns a reproducibility requirement and a selection policy;
 // every reduction it performs is preceded by a cheap profiling pass
 // (local, streaming, mergeable across ranks) whose result picks the
-// cheapest algorithm expected to stay within the requirement.
+// cheapest algorithm expected to stay within the requirement. The one
+// exception is Sum at tolerance 0 under a policy whose pick there is
+// always the exact binned rung: it sums with that rung directly (see
+// Runtime.Sum).
 //
 // The package also implements the paper's closing suggestion —
 // "apply cheaper but acceptably accurate reduction algorithms to
@@ -144,16 +147,21 @@ func (rt *Runtime) CacheStats() (selector.CacheStats, bool) {
 }
 
 // Report describes one adaptive reduction: what was profiled, what was
-// chosen, and what the policy predicted.
+// chosen, what the policy predicted, and which route produced the sum.
 type Report struct {
 	Algorithm sum.Algorithm
+	// Profile is the profile the decision was made from. It is the zero
+	// value on the exact route (Route == selector.RouteExact), which
+	// never profiles; selector.ProfileOf computes it on demand.
 	Profile   selector.Profile
 	Predicted float64
 	// Bounds are the Hallman–Ipsen per-algorithm forward-error bound
 	// estimates computed from the profile the decision was made from
 	// (the cache bucket's conservative representative on cached paths)
 	// — pure arithmetic on already-collected statistics, no extra data
-	// pass. Bounds.Conclusive is false on the non-finite fallback.
+	// pass. Bounds.Conclusive is false on the non-finite fallback. On
+	// the exact route Bounds is the zero value; selector.ComputeBounds
+	// on selector.ProfileOf(xs) gives the profiled route's bounds.
 	Bounds selector.Bounds
 	// PRConfig is set when the prerounded operator was chosen: the
 	// tolerance-tuned bin configuration (selector.TunePR).
@@ -165,10 +173,19 @@ type Report struct {
 	// binning is undefined on non-finite operands). No variability
 	// contract applies to such data.
 	NonFinite bool
+	// Route is how Sum produced the result: the speculative profile
+	// pass (RouteFast), a second pass with the pick (RouteSecondPass,
+	// also every Reduce), the non-finite fallback (RouteNonFinite), or
+	// BN with no profile at tolerance 0 (RouteExact).
+	Route selector.Route
 }
 
 // String summarizes the report.
 func (r Report) String() string {
+	if r.Route == selector.RouteExact {
+		return fmt.Sprintf("chose %s (%s) by the exact route (tolerance 0, not profiled)",
+			r.Algorithm, r.Algorithm.FullName())
+	}
 	if r.NonFinite {
 		return fmt.Sprintf("chose %s (%s) for %v (non-finite input; no variability contract)",
 			r.Algorithm, r.Algorithm.FullName(), r.Profile)
@@ -185,6 +202,14 @@ func (r Report) String() string {
 // The pass is fused and speculative (selector.SelectAndSum): profiling
 // already yields the ST and Neumaier answers, so those selections never
 // read xs a second time.
+//
+// At tolerance 0 under the default heuristic policy, a probabilistic
+// one or Static{BN}, Sum takes the exact route: it sums with BN, the
+// pick those policies make on every finite, non-degenerate input, and
+// skips the profile, decision and bounds, leaving Report.Profile and
+// Report.Bounds zero. All-zero, tiny, non-finite and overflowing inputs
+// and n < 2 fall back to the profiled route, so the bits and algorithm
+// are those of the profiled route for every input.
 //
 // With the engine enabled (WithWorkers/WithChunkSize/WithLaneWidth) and
 // an input spanning at least two chunks, both the profiling pass and
@@ -209,9 +234,10 @@ func reportOf(sel selector.Selection) Report {
 		Predicted: sel.Predicted,
 		Bounds:    sel.Bounds,
 		PRConfig:  sel.PR,
-		NonFinite: sel.NonFinite,
+		NonFinite: sel.Route == selector.RouteNonFinite,
+		Route:     sel.Route,
 	}
-	if sel.NonFinite {
+	if rep.NonFinite {
 		rep.Predicted = math.Inf(1)
 	}
 	return rep
@@ -241,7 +267,7 @@ func (rt *Runtime) Reduce(p tree.Plan, xs []float64) (float64, Report) {
 		v := selector.ReduceTreeWith(sum.StandardAlg, p, xs)
 		return v, Report{Algorithm: sum.StandardAlg, Profile: prof,
 			Predicted: math.Inf(1), Bounds: selector.ComputeBounds(prof, 0),
-			NonFinite: true}
+			NonFinite: true, Route: selector.RouteNonFinite}
 	}
 	d := rt.sel.Decide(prof)
 	v := selector.ReduceTreeWith(d.Alg, p, xs)

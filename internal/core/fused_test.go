@@ -11,15 +11,16 @@ import (
 )
 
 // legacySum reproduces the pre-fused two-pass Runtime.Sum exactly:
-// profile, policy, TunePR when PR, then the selected operator — the
-// oracle the fused serving path is pinned against.
+// profile, decision (through the cache when one is attached), TunePR
+// when PR, then the selected operator — the oracle the fused serving
+// path and the tolerance-0 exact route are pinned against.
 func legacySum(rt *Runtime, xs []float64) (float64, sum.Algorithm) {
 	if rt.engineFor(len(xs)) {
 		prof := selector.ProfileOfParallel(xs, rt.par)
 		if prof.NonFinite {
 			return sum.Standard(xs), sum.StandardAlg
 		}
-		alg, _ := rt.sel.Policy.Select(prof, rt.sel.Req)
+		alg := rt.sel.Decide(prof).Alg
 		if alg == sum.PreroundedAlg {
 			return parallel.SumPR(selector.TunePR(prof, rt.sel.Req), xs, rt.par), alg
 		}
@@ -29,7 +30,7 @@ func legacySum(rt *Runtime, xs []float64) (float64, sum.Algorithm) {
 	if prof.NonFinite {
 		return sum.Standard(xs), sum.StandardAlg
 	}
-	alg, _ := rt.sel.Policy.Select(prof, rt.sel.Req)
+	alg := rt.sel.Decide(prof).Alg
 	if alg == sum.PreroundedAlg {
 		return sum.PreroundedWith(selector.TunePR(prof, rt.sel.Req), xs), alg
 	}
@@ -115,8 +116,10 @@ func TestRuntimeDecisionCache(t *testing.T) {
 		t.Errorf("cache changed ST fast-path bits: %x vs %x",
 			math.Float64bits(vPlain), math.Float64bits(vCached))
 	}
-	// Sharded geometry via the config option, on the engine path.
-	shard := New(0, WithWorkers(4), WithChunkSize(1<<12),
+	// Sharded geometry via the config option, on the engine path (at a
+	// nonzero tolerance: tolerance 0 takes the exact route, which never
+	// consults the cache).
+	shard := New(1e-15, WithWorkers(4), WithChunkSize(1<<12),
 		WithDecisionCacheConfig(selector.CacheConfig{Capacity: 64, Shards: 4}))
 	r1, _ := shard.Sum(xs)
 	r2, _ := shard.Sum(xs)

@@ -58,6 +58,7 @@ func twoPassEngineSum(rt *Runtime, xs []float64) (float64, Report) {
 			Predicted: math.Inf(1),
 			Bounds:    selector.ComputeBounds(prof, 0),
 			NonFinite: true,
+			Route:     selector.RouteNonFinite,
 		}
 	}
 	d := rt.sel.Decide(prof)
@@ -87,7 +88,9 @@ func reportKey(r Report) string {
 // bits, pick, profile and report, under the analytic, bound-driven,
 // pinned-PR and cached policies. The one intended difference: on
 // non-finite input the report's bounds now use the policy's own λ and
-// plan, as the serial route always did.
+// plan, as the serial route always did. At tolerance 0 the qualifying
+// policies take the exact route, whose report drops the profile and
+// bounds.
 func TestEngineRouteMatchesTwoPassAtLaneWidths(t *testing.T) {
 	data := map[string][]float64{}
 	seed := uint64(90)
@@ -117,6 +120,9 @@ func TestEngineRouteMatchesTwoPassAtLaneWidths(t *testing.T) {
 						want, wantRep := twoPassEngineSum(New(tol, opts...), xs)
 						if pname == "prob" && wantRep.NonFinite {
 							wantRep.Bounds = selector.ComputeBoundsPlan(wantRep.Profile, prob.Lambda, prob.Plan)
+						}
+						if tol == 0 && pname != "static-pr" && !wantRep.NonFinite {
+							wantRep = Report{Algorithm: wantRep.Algorithm, Route: selector.RouteExact}
 						}
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Errorf("%s: sum %x, two-pass %x", label,

@@ -296,7 +296,7 @@ func TestCachedSumBitsUnaffected(t *testing.T) {
 			// The cached selection, run uncached through a Static policy,
 			// reproduces the same bits: the cache influences selection
 			// only, never execution.
-			if sel1.Alg != sum.PreroundedAlg && !sel1.NonFinite {
+			if sel1.Alg != sum.PreroundedAlg && sel1.Route != RouteNonFinite {
 				plain := New(tol)
 				plain.Policy = Static{Alg: sel1.Alg}
 				v3, _ := plain.SelectAndSum(xs)

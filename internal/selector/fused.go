@@ -1,6 +1,8 @@
 package selector
 
 import (
+	"math"
+
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/sum"
@@ -147,24 +149,125 @@ func (s *Selector) Decide(p Profile) Decision {
 	return decide(s.Policy, p, s.Req)
 }
 
+// Route names how a select-and-sum call produced its result.
+type Route uint8
+
+const (
+	// RouteSecondPass: the data was profiled, the policy consulted, and
+	// the pick summed in a second pass over xs. It is the zero value,
+	// so reports of calls that always profile first (core.Runtime.Reduce)
+	// read as RouteSecondPass.
+	RouteSecondPass Route = iota
+	// RouteFast: the answer came out of the speculative profile pass
+	// (an ST or Neumaier pick) — the data was read exactly once.
+	RouteFast
+	// RouteNonFinite: the profile saw NaN/±Inf, selection was skipped,
+	// and the ST sum (which absorbs non-finite values with IEEE
+	// semantics) was returned.
+	RouteNonFinite
+	// RouteExact: tolerance 0 under a policy whose pick there is always
+	// BN (see exactAtZero) — BN summed directly, with no profile,
+	// decision or bounds. The Selection's Profile and Bounds are zero
+	// values; compute them with ProfileOf and ComputeBounds when needed.
+	RouteExact
+)
+
+// String names the route.
+func (r Route) String() string {
+	switch r {
+	case RouteSecondPass:
+		return "second-pass"
+	case RouteFast:
+		return "fast"
+	case RouteNonFinite:
+		return "non-finite"
+	case RouteExact:
+		return "exact"
+	}
+	return "route(?)"
+}
+
 // Selection describes one fused select-and-sum call, for reporting.
 type Selection struct {
+	// Profile is the profile the decision was made from; zero on
+	// RouteExact.
 	Profile   Profile
 	Alg       sum.Algorithm
 	Predicted float64
 	// Bounds are the decision's forward-error bound estimates (the
 	// bucket representative's on cached paths; inconclusive on the
-	// poisoned fallback).
+	// poisoned fallback; zero on RouteExact).
 	Bounds Bounds
 	// PR is the tuned prerounding configuration when Alg is PR.
 	PR *sum.PRConfig
-	// Fast reports that the returned sum came out of the speculative
-	// pass — the data was read exactly once.
-	Fast bool
-	// NonFinite reports the poisoned-input fallback: the profile saw
-	// NaN/±Inf, selection was skipped, and the ST sum (which absorbs
-	// non-finite values with IEEE semantics) was returned.
-	NonFinite bool
+	// Route is how the result was produced.
+	Route Route
+}
+
+// exactFloor is the magnitude below which the exact route does not
+// vouch for the policy's pick. The probabilistic policy's ST estimate
+// multiplies unit roundoff by the operand scale, so on data with
+// Σ|x| below about 2^-540 it underflows to a zero prediction and the
+// policy picks ST even at tolerance 0. At Σ|x| ≥ 2^-400 every term of
+// that estimate stays a normal number (DESIGN §6h).
+const exactFloor = 0x1p-400
+
+// exactAtZero reports whether pol's tolerance-0 pick is BN on every
+// finite profile with N ≥ 2 and Σ|x| ≥ exactFloor, bare or through a
+// DecisionCache (whose representatives sit at unit scale with N ≥ 3):
+//
+//   - HeuristicPolicy: ST predicts CST·u·√n·k > 0 and BN, the next
+//     SelectionLadder rung, predicts 0. CST is held to ≥ 2^-500 so the
+//     product cannot underflow.
+//   - ProbabilisticPolicy: on conclusive bounds ST's relative estimate
+//     is positive for λ in [2^-100, 2^100]; inconclusive bounds go to
+//     the fallback, which must qualify itself (nil is the heuristic).
+//   - Static{BN}.
+//
+// Every other policy, including the calibrated surface and scan, keeps
+// the profiled route.
+func exactAtZero(pol Policy) bool {
+	switch p := pol.(type) {
+	case HeuristicPolicy:
+		return p.Params.CST >= 0x1p-500
+	case ProbabilisticPolicy:
+		if l := p.lambda(); !(l >= 0x1p-100 && l <= 0x1p100) {
+			return false
+		}
+		return p.Fallback == nil || exactAtZero(p.Fallback)
+	case Static:
+		return p.Alg == sum.BinnedAlg
+	}
+	return false
+}
+
+// exactRoute reports whether a call over n values may try the exact
+// route: tolerance 0, at least two values (one value or none is an ST
+// pick under every qualifying policy but Static{BN}), and a qualifying
+// policy.
+func (s *Selector) exactRoute(n int) bool {
+	return s.Req.Tolerance == 0 && n >= 2 && exactAtZero(s.Policy)
+}
+
+// exactAccepts reports whether v, the BN sum of xs, is the profiled
+// route's answer too. A finite BN sum proves xs holds no NaN/±Inf (BN
+// propagates them). |v| ≥ exactFloor bounds Σ|x| from below; otherwise
+// a scan for one element of that size does, and on cancelling data it
+// stops at the first large element. All-zero, tiny, non-finite and
+// overflowing inputs are refused and take the profiled route.
+func exactAccepts(v float64, xs []float64) bool {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return false
+	}
+	if math.Abs(v) >= exactFloor {
+		return true
+	}
+	for _, x := range xs {
+		if math.Abs(x) >= exactFloor {
+			return true
+		}
+	}
+	return false
 }
 
 // SelectAndSum is the fused serving call: one pass to profile and
@@ -173,19 +276,29 @@ type Selection struct {
 // operator. PR escalations run with the TunePR-sized configuration,
 // like core.Runtime.Sum. Poisoned inputs fall back to the ST shadow,
 // which equals sum.Standard(xs) bit-for-bit.
+//
+// At tolerance 0 under a qualifying policy (exactAtZero) the call
+// first sums with BN alone and returns that on RouteExact when
+// exactAccepts it; otherwise it continues down the profiled route, so
+// every input keeps the profiled route's bits and algorithm.
 func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
+	if s.exactRoute(len(xs)) {
+		if v := sum.Binned(xs); exactAccepts(v, xs) {
+			return v, Selection{Alg: sum.BinnedAlg, Route: RouteExact}
+		}
+	}
 	fp := FusedProfileSum(xs)
 	prof := fp.Profile
 	if prof.NonFinite {
 		return fp.ST, Selection{
-			Profile: prof, Alg: sum.StandardAlg, Fast: true, NonFinite: true,
+			Profile: prof, Alg: sum.StandardAlg, Route: RouteNonFinite,
 			Bounds: boundsFor(s.Policy, prof),
 		}
 	}
 	d := s.Decide(prof)
 	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
 	if v, ok := fp.SpecSum(d.Alg); ok {
-		sel.Fast = true
+		sel.Route = RouteFast
 		return v, sel
 	}
 	if d.Alg == sum.PreroundedAlg {
@@ -201,13 +314,18 @@ func (s *Selector) SelectAndSum(xs []float64) (float64, Selection) {
 // At cfg.LaneWidth > 1 the speculative answers are skipped (lane plans
 // change which bits the chunk folds produce) and every pick runs the
 // lane-plan second pass. Poisoned inputs fall back to one serial ST
-// pass.
+// pass. The exact route runs BN on the engine.
 func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (float64, Selection) {
+	if s.exactRoute(len(xs)) {
+		if v := parallel.Sum(sum.BinnedAlg, xs, cfg); exactAccepts(v, xs) {
+			return v, Selection{Alg: sum.BinnedAlg, Route: RouteExact}
+		}
+	}
 	fp := FusedProfileSumParallel(xs, cfg)
 	prof := fp.Profile
 	if prof.NonFinite {
 		return sum.Standard(xs), Selection{
-			Profile: prof, Alg: sum.StandardAlg, NonFinite: true,
+			Profile: prof, Alg: sum.StandardAlg, Route: RouteNonFinite,
 			Bounds: boundsFor(s.Policy, prof),
 		}
 	}
@@ -215,7 +333,7 @@ func (s *Selector) SelectAndSumParallel(xs []float64, cfg parallel.Config) (floa
 	sel := Selection{Profile: prof, Alg: d.Alg, Predicted: d.Predicted, Bounds: d.Bounds}
 	if cfg.LaneWidth <= 1 {
 		if v, ok := fp.SpecSum(d.Alg); ok {
-			sel.Fast = true
+			sel.Route = RouteFast
 			return v, sel
 		}
 	}

@@ -126,8 +126,8 @@ func TestFusedSpecSum(t *testing.T) {
 func TestSelectorSumFusedEquivalence(t *testing.T) {
 	xs := []float64{1, math.Inf(1), math.Inf(-1), 2}
 	got, sel := New(1e-6).SelectAndSum(xs)
-	if sel.Alg != sum.StandardAlg || !sel.NonFinite || !math.IsNaN(got) {
-		t.Errorf("poisoned: %v non-finite=%v sum %g", sel.Alg, sel.NonFinite, got)
+	if sel.Alg != sum.StandardAlg || sel.Route != RouteNonFinite || !math.IsNaN(got) {
+		t.Errorf("poisoned: %v route=%v sum %g", sel.Alg, sel.Route, got)
 	}
 
 	xs = gen.Spec{N: 5000, Cond: 1e4, DynRange: 24, Seed: 28}.Generate()
@@ -182,21 +182,26 @@ func TestSelectorSumStaticAlgorithms(t *testing.T) {
 // TestSelectAndSumEquivalence pins the serving call against a two-pass
 // route built on the scalar profile fold: poisoned inputs fall back to
 // sum.Standard, PR selections run the TunePR configuration, everything
-// else alg.Sum.
+// else alg.Sum. The exact route (tolerance 0) reports no profile; its
+// pick and bits must still be the two-pass route's.
 func TestSelectAndSumEquivalence(t *testing.T) {
 	for name, xs := range fusedCases() {
 		for _, tol := range []float64{1e-6, 1e-9, 1e-12, 1e-15, 0} {
 			s := New(tol)
 			got, sel := s.SelectAndSum(xs)
 			prof := addFold(xs)
-			if sel.Profile != prof {
+			if sel.Route == RouteExact {
+				if tol != 0 || sel.Profile != (Profile{}) {
+					t.Errorf("%s tol=%g: exact route with profile %v", name, tol, sel.Profile)
+				}
+			} else if sel.Profile != prof {
 				t.Errorf("%s tol=%g: selection profile diverges", name, tol)
 			}
 			var want float64
 			switch {
 			case prof.NonFinite:
 				want = sum.Standard(xs)
-				if !sel.NonFinite || sel.Alg != sum.StandardAlg || !sel.Fast {
+				if sel.Route != RouteNonFinite || sel.Alg != sum.StandardAlg {
 					t.Errorf("%s tol=%g: poisoned selection %+v", name, tol, sel)
 				}
 			default:
@@ -214,8 +219,9 @@ func TestSelectAndSumEquivalence(t *testing.T) {
 				} else {
 					want = alg.Sum(xs)
 				}
-				if wantFast := alg == sum.StandardAlg || alg == sum.NeumaierAlg; sel.Fast != wantFast {
-					t.Errorf("%s tol=%g (%v): Fast=%v", name, tol, alg, sel.Fast)
+				fast := alg == sum.StandardAlg || alg == sum.NeumaierAlg
+				if fast != (sel.Route == RouteFast) && sel.Route != RouteExact {
+					t.Errorf("%s tol=%g (%v): route %v", name, tol, alg, sel.Route)
 				}
 			}
 			if fbits(got) != fbits(want) {
@@ -238,7 +244,12 @@ func TestSelectAndSumParallelEquivalence(t *testing.T) {
 					s := New(tol)
 					got, sel := s.SelectAndSumParallel(xs, cfg)
 					prof := ProfileOfParallel(xs, cfg)
-					if sel.Profile != prof {
+					if sel.Route == RouteExact {
+						if tol != 0 || sel.Profile != (Profile{}) {
+							t.Errorf("%s w=%d l=%d tol=%g: exact route with profile %v",
+								name, workers, lanes, tol, sel.Profile)
+						}
+					} else if sel.Profile != prof {
 						t.Errorf("%s w=%d l=%d tol=%g: profile diverges from ProfileOfParallel",
 							name, workers, lanes, tol)
 					}
@@ -289,8 +300,8 @@ func TestSelectAndSumParallelLaneFallback(t *testing.T) {
 	for _, lanes := range []int{2, 4, 8} {
 		cfg := parallel.Config{ChunkSize: 1 << 9, LaneWidth: lanes}
 		got, sel := s.SelectAndSumParallel(xs, cfg)
-		if sel.Alg != sum.StandardAlg || sel.Fast {
-			t.Errorf("lanes=%d: alg %v fast=%v, want a second-pass ST", lanes, sel.Alg, sel.Fast)
+		if sel.Alg != sum.StandardAlg || sel.Route != RouteSecondPass {
+			t.Errorf("lanes=%d: alg %v route=%v, want a second-pass ST", lanes, sel.Alg, sel.Route)
 		}
 		if want := parallel.Sum(sum.StandardAlg, xs, cfg); fbits(got) != fbits(want) {
 			t.Errorf("lanes=%d: %x != lane-plan ST %x", lanes, fbits(got), fbits(want))

@@ -17,7 +17,10 @@
 // pass, so when the policy settles on either, the answer is already in
 // hand and the data is never read twice (see fused.go). An optional
 // quantized DecisionCache memoizes policy outcomes so steady-state
-// traffic skips policy evaluation entirely (see cache.go).
+// traffic skips policy evaluation entirely (see cache.go). At tolerance
+// 0 the analytic and probabilistic policies always pick BN on the
+// inputs that matter, so the serving calls skip the profile there and
+// sum with BN directly (the exact route, fused.go).
 package selector
 
 import (

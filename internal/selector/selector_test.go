@@ -148,8 +148,8 @@ func TestSelectorSumUsesChoice(t *testing.T) {
 	s := New(1e-9)
 	xs := gen.Spec{N: 512, Cond: 1, DynRange: 2, Seed: 9}.Generate()
 	got, sel := s.SelectAndSum(xs)
-	if sel.Alg != sum.StandardAlg || !sel.Fast {
-		t.Errorf("alg = %v, fast = %v", sel.Alg, sel.Fast)
+	if sel.Alg != sum.StandardAlg || sel.Route != RouteFast {
+		t.Errorf("alg = %v, route = %v", sel.Alg, sel.Route)
 	}
 	if got != sum.Standard(xs) {
 		t.Errorf("sum %g != ST sum", got)

@@ -72,6 +72,20 @@ type Runtime = core.Runtime
 // Report describes one adaptive reduction decision.
 type Report = core.Report
 
+// Route names how Runtime.Sum produced a result (Report.Route).
+type Route = selector.Route
+
+// The Runtime.Sum routes: the speculative profile pass, a second pass
+// with the pick, the NaN/±Inf fallback, and the tolerance-0 exact route
+// (BN with no profile; Report.Profile and Report.Bounds are zero there,
+// ProfileOf and ComputeBounds compute them on demand).
+const (
+	RouteFast       = selector.RouteFast
+	RouteSecondPass = selector.RouteSecondPass
+	RouteNonFinite  = selector.RouteNonFinite
+	RouteExact      = selector.RouteExact
+)
+
 // Profile summarizes the runtime-estimable properties of a value set.
 type Profile = selector.Profile
 
@@ -189,8 +203,10 @@ func New(tolerance float64, opts ...Option) *Runtime { return core.New(tolerance
 // SelectAndSum is the one-shot fused serving call: a single pass over xs
 // profiles the data and speculatively computes the cheap candidate sums,
 // the policy picks the cheapest algorithm meeting tolerance, and only a
-// selection beyond ST/Neumaier reads xs a second time. Equivalent to
-// New(tolerance).Sum(xs), minus the Runtime setup.
+// selection beyond ST/Neumaier reads xs a second time. At tolerance 0 it
+// takes the exact route instead: one BN pass, no profile (see
+// Runtime.Sum). Equivalent to New(tolerance).Sum(xs), minus the Runtime
+// setup.
 func SelectAndSum(tolerance float64, xs []float64) (float64, Report) {
 	return core.New(tolerance).Sum(xs)
 }
